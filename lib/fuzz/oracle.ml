@@ -24,17 +24,16 @@ let config_for ~seed =
       Chf.Policy.heuristic = Chf.Policy.Depth_first { min_merge_prob = 0.05 } }
   else Chf.Policy.edge_default
 
-(* The PR-4 contract: with every fast-path escape hatch engaged,
-   formation's final CFG and statistics are identical.  Compared on a
-   canonical rendering of the graph (entry + blocks in id order). *)
+(* The fast-path contract (DESIGN.md §12): with every fast-path escape
+   hatch engaged, formation's final CFG and statistics are identical.
+   Compared on a canonical rendering of the graph (entry + blocks in id
+   order). *)
 let fast_path_hatches =
   [
     "TRIPS_NO_PREFILTER";
     "TRIPS_NO_INCR_LIVENESS";
     "TRIPS_NO_LOOP_REUSE";
     "TRIPS_NO_CAND_POOL";
-    "TRIPS_NO_TRIAL_CACHE";
-    "TRIPS_NO_SPEC_TRIALS";
   ]
 
 let with_hatches v f =

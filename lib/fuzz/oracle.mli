@@ -6,8 +6,8 @@
     functional re-simulation after {e every} phase), the back end runs
     and the result is re-verified, the final checksum must match the
     input's, and formation with all fast-path escape hatches engaged
-    must produce the identical CFG and statistics (the PR-4 equivalence
-    property).  For a mini-language case the full
+    must produce the identical CFG and statistics (the fast-path
+    equivalence property of DESIGN.md §12).  For a mini-language case the full
     {!Trips_harness.Pipeline} runs with per-phase verification against
     the basic-block baseline.
 
@@ -18,6 +18,16 @@
 type verdict =
   | Pass
   | Fail of { stage : string; bucket : string; reason : string }
+
+val fast_path_hatches : string list
+(** The [TRIPS_NO_*] escape hatches of formation's four output-invariant
+    fast paths (pre-filter, incremental liveness, loop reuse, indexed
+    pool). *)
+
+val with_hatches : string -> (unit -> 'a) -> 'a
+(** [with_hatches v f] sets every {!fast_path_hatches} variable to [v]
+    ([""] keeps the fast paths on, ["1"] engages every hatch), runs [f],
+    and clears them again — the two sides of the equivalence oracle. *)
 
 val ordering_for : seed:int -> Chf.Phases.ordering
 (** The phase ordering a case of this seed is checked under (cases cycle
