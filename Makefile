@@ -39,10 +39,11 @@ trace-check: build
 	@echo "trace-check: event streams identical across -j 1 / -j 4"
 
 # Fast-path equivalence: the formation suite includes the property test
-# that formation with every TRIPS_NO_* escape hatch engaged produces
-# byte-identical CFGs, stats and traces to the default fast paths; the
-# sim suite does the same for the cycle model's ring/memo fast paths
-# (results, attribution rows and timing traces, all byte-compared).
+# (plus two pinned QCheck seeds) that formation with every TRIPS_NO_*
+# escape hatch engaged produces byte-identical CFGs, stats and traces to
+# the default fast paths; the sim suite byte-compares the cycle model's
+# one exact path (ring core + timing memo) against the per-instruction
+# reference model in test/ (results, attribution rows, timing traces).
 equiv-check: build
 	dune exec test/test_main.exe -- test formation
 	dune exec test/test_main.exe -- test sim
@@ -96,9 +97,9 @@ check: build test chaos fuzz-smoke trace-check equiv-check report-check \
 bench: build
 	dune exec bench/main.exe -- sweep
 
-# Formation fast-path attribution: legacy path (hatches engaged) vs the
-# pre-filter, incremental liveness, loop-forest reuse and indexed pool,
-# with an identical-output assertion across every configuration (writes
+# Formation fast-path attribution: legacy path (hatches engaged) vs
+# incremental liveness, loop-forest reuse and the indexed pool, with an
+# identical-output assertion across every configuration (writes
 # BENCH_formation.json, including the runtime-measured core count).
 bench-formation: build
 	dune exec bench/main.exe -- formation
@@ -110,10 +111,10 @@ bench-formation: build
 bench-serve: build
 	dune exec bench/main.exe -- serve
 
-# Cycle-model fast-path attribution: legacy per-cycle hashtable path vs
-# the ring issue core, the timing memo and sampled simulation, with a
-# byte-identity assertion across every exact configuration and a
-# measured error bound for the sampled one (writes BENCH_sim.json).
+# Cycle-model timing: the exact path (ring issue core + timing memo) and
+# sampled simulation, with a measured error bound for the sampled one
+# (writes BENCH_sim.json).  Exact-path byte-equivalence is checked by
+# equiv-check against the reference model in test/.
 bench-sim: build
 	dune exec bench/main.exe -- sim
 

@@ -250,8 +250,9 @@ let run_verify () =
              (List.length sorted))
 
 (* Full-sweep benchmark of the staged engine itself: every table and
-   figure under three configurations — sequential with every cache off,
-   sequential with caches on, and the domain pool with caches on.  The
+   figure under three configurations — sequential with the stage cache
+   off, sequential with it on, and the domain pool with it on
+   (formation's gen/kill liveness memo is always on).  The
    rendered outputs must agree byte-for-byte (determinism is part of the
    contract); wall clocks, per-stage timings and cache counters go to
    BENCH_sweep.json. *)
@@ -268,16 +269,12 @@ let run_sweep () =
     Format.pp_print_flush fmt ();
     Buffer.contents buf
   in
-  let measure ~name ~jobs ~cached ~memo =
-    (* the gen/kill memo is process-global (formation reads the
-       environment), so toggle it around the run *)
-    Unix.putenv "TRIPS_NO_LIVENESS_MEMO" (if memo then "" else "1");
+  let measure ~name ~jobs ~cached =
     let cache = if cached then Stage.create () else Stage.disabled () in
     Stage.reset_timings ();
     let t0 = Unix.gettimeofday () in
     let output = render_all ~cache ~jobs in
     let wall = Unix.gettimeofday () -. t0 in
-    Unix.putenv "TRIPS_NO_LIVENESS_MEMO" "";
     let stats = Stage.stats cache in
     Fmt.pr "%-28s %6.1fs  (%a; cache %d/%d hits)@." name wall Stage.pp_timings
       (Stage.timings ()) stats.Stage.cache_hits
@@ -288,14 +285,14 @@ let run_sweep () =
      actually had, not what the branch hoped for *)
   let cores = Engine.default_jobs () in
   Fmt.pr "cores: %d@." cores;
-  let baseline = measure ~name:"sequential, caches off" ~jobs:1 ~cached:false ~memo:false in
-  let seq = measure ~name:"sequential, caches on" ~jobs:1 ~cached:true ~memo:true in
-  let par_j2 = measure ~name:"parallel -j2, caches on" ~jobs:2 ~cached:true ~memo:true in
-  let par_j4 = measure ~name:"parallel -j4, caches on" ~jobs:4 ~cached:true ~memo:true in
+  let baseline = measure ~name:"sequential, caches off" ~jobs:1 ~cached:false in
+  let seq = measure ~name:"sequential, caches on" ~jobs:1 ~cached:true in
+  let par_j2 = measure ~name:"parallel -j2, caches on" ~jobs:2 ~cached:true in
+  let par_j4 = measure ~name:"parallel -j4, caches on" ~jobs:4 ~cached:true in
   let par =
     measure
       ~name:(Fmt.str "parallel -j%d, caches on" cores)
-      ~jobs:cores ~cached:true ~memo:true
+      ~jobs:cores ~cached:true
   in
   let configs = [ baseline; seq; par_j2; par_j4; par ] in
   let output_of (_, _, _, _, _, _, o) = o in
@@ -338,9 +335,8 @@ let run_sweep () =
   close_out oc;
   Fmt.pr "wrote %s@." path
 
-(* Formation fast paths: constraint pre-filter, incremental liveness,
-   loop-forest reuse and the indexed candidate pool, each behind its own
-   TRIPS_NO_* escape hatch (DESIGN.md §12).  Every table is recompiled
+(* Formation fast paths: incremental liveness, loop-forest reuse and the
+   indexed candidate pool, each behind its own TRIPS_NO_* escape hatch (DESIGN.md §12).  Every table is recompiled
    sequentially with stage caching off so formation really runs for each
    cell; the formation-stage timer isolates the win from the (unchanged)
    lowering/backend/simulation stages.  All configurations must render
@@ -348,13 +344,14 @@ let run_sweep () =
    and wall clocks, per-piece attribution and fast-path hit counters go
    to BENCH_formation.json. *)
 let run_formation () =
-  section "Formation — fast-path attribution (legacy path vs pre-filter, \
-           incremental liveness, loop reuse, indexed pool)";
+  section "Formation — fast-path attribution (legacy path vs incremental \
+           liveness, loop reuse, indexed pool)";
   let hatches = Trips_fuzz.Oracle.fast_path_hatches in
   (* the store-dense kernels join the 24-kernel set here: their unrolled
-     merge estimates blow the 32-slot store budget, which is the regime
-     the constraint pre-filter fires in (the paper set's size rejects are
-     all instruction-budget driven, so prefilter_hits would read 0) *)
+     merge estimates blow the 32-slot store budget, a size-reject regime
+     the paper set (all instruction-budget driven) never reaches.  They
+     stay in the set so every row remains comparable with earlier
+     BENCH_formation.json runs. *)
   let micro = Micro.all @ Micro.store_dense in
   let render_all () =
     let buf = Buffer.create 4096 in
@@ -380,18 +377,15 @@ let run_formation () =
     let formation_s = (Stage.timings ()).Stage.formation_s in
     let snap = Trips_obs.Metrics.snapshot () in
     let counter = Trips_obs.Metrics.counter_value snap in
-    let prefilter = counter "formation.prefilter.hits" in
     let incr_live = counter "formation.liveness.incremental" in
     let loops = counter "formation.loops.reuse" in
     List.iter (fun h -> Unix.putenv h "") hatches;
     Fmt.pr
-      "%-28s %6.2fs wall  %6.2fs formation  (prefilter %d, incr-live %d, \
-       loop-reuse %d)@."
-      name wall formation_s prefilter incr_live loops;
-    (name, wall, formation_s, (prefilter, incr_live, loops), output)
+      "%-28s %6.2fs wall  %6.2fs formation  (incr-live %d, loop-reuse %d)@."
+      name wall formation_s incr_live loops;
+    (name, wall, formation_s, (incr_live, loops), output)
   in
   let baseline = measure ~name:"fast paths off (legacy)" ~on:[] in
-  let only_pf = measure ~name:"pre-filter only" ~on:[ "TRIPS_NO_PREFILTER" ] in
   let only_il =
     measure ~name:"incremental liveness only" ~on:[ "TRIPS_NO_INCR_LIVENESS" ]
   in
@@ -402,7 +396,7 @@ let run_formation () =
     measure ~name:"indexed pool only" ~on:[ "TRIPS_NO_CAND_POOL" ]
   in
   let fast = measure ~name:"all fast paths (default)" ~on:hatches in
-  let configs = [ baseline; only_pf; only_il; only_lr; only_cp; fast ] in
+  let configs = [ baseline; only_il; only_lr; only_cp; fast ] in
   let output_of (_, _, _, _, o) = o in
   let formation_of (_, _, f, _, _) = f in
   let wall_of (_, w, _, _, _) = w in
@@ -417,12 +411,12 @@ let run_formation () =
     (wall_of baseline /. wall_of fast);
   let attribution c = formation_of baseline -. formation_of c in
   let json =
-    let config (name, wall, formation_s, (pf, il, lr), _) =
+    let config (name, wall, formation_s, (il, lr), _) =
       Fmt.str
         "    { \"name\": %S, \"wall_s\": %.3f, \"formation_s\": %.3f,@\n\
-        \      \"counters\": { \"prefilter_hits\": %d, \
-         \"liveness_incremental\": %d, \"loops_reuse\": %d } }"
-        name wall formation_s pf il lr
+        \      \"counters\": { \"liveness_incremental\": %d, \
+         \"loops_reuse\": %d } }"
+        name wall formation_s il lr
     in
     Fmt.str
       "{@\n\
@@ -430,16 +424,15 @@ let run_formation () =
       \  \"identical_outputs\": %b,@\n\
       \  \"formation_speedup\": %.3f,@\n\
       \  \"wall_speedup\": %.3f,@\n\
-      \  \"attribution_s\": { \"prefilter\": %.3f, \"incr_liveness\": %.3f, \
-       \"loop_reuse\": %.3f, \"cand_pool\": %.3f },@\n\
+      \  \"attribution_s\": { \"incr_liveness\": %.3f, \"loop_reuse\": %.3f, \
+       \"cand_pool\": %.3f },@\n\
       \  \"configs\": [@\n\
        %s@\n\
       \  ]@\n\
        }@\n"
       (Engine.default_jobs ()) identical speedup
       (wall_of baseline /. wall_of fast)
-      (attribution only_pf) (attribution only_il) (attribution only_lr)
-      (attribution only_cp)
+      (attribution only_il) (attribution only_lr) (attribution only_cp)
       (String.concat ",\n" (List.map config configs))
   in
   let path = bench_out "BENCH_formation.json" in
@@ -679,65 +672,29 @@ let run_serve () =
   close_out oc;
   Fmt.pr "wrote %s@." path
 
-(* Cycle-simulator fast paths: the event-driven ring issue core and the
-   repeated-block timing memo, each behind its own TRIPS_NO_SIM_* escape
-   hatch (DESIGN.md §16), plus the sampled mode.  Every kernel is
-   compiled once outside the measured region, then each configuration
-   re-times the whole set; the exact configurations must render
-   byte-identical per-kernel results *and* attribution tables, and the
-   sampled run's measured drift bound must stay within the stated
-   tolerance.  Wall clocks (warmup + Welford over reps), per-piece
-   attribution and the fast-path counters go to BENCH_sim.json. *)
+(* Cycle-simulator timing: the default exact path (ring issue core and
+   repeated-block timing memo, DESIGN.md §16) and the sampled mode.
+   Every kernel is compiled once outside the measured region, then each
+   configuration re-times the whole set; the sampled run's measured
+   drift bound must stay within the stated tolerance.  Wall clocks
+   (warmup + Welford over reps) and the memo/ring/sampling counters go
+   to BENCH_sim.json.  Byte-equivalence of the exact path with the
+   per-instruction reference model is checked by the sim test suite. *)
 let run_sim () =
-  section "Sim — cycle-model fast paths (legacy vs ring core, memo, sampled)";
-  let hatches = [ "TRIPS_NO_SIM_FAST"; "TRIPS_NO_SIM_MEMO" ] in
+  section "Sim — cycle model (exact path, sampled)";
   let sample_tolerance = 0.05 in
   let compiled =
     List.map
       (fun w -> Pipeline.compile ~backend:true Chf.Phases.Iupo_merged w)
       (Micro.all @ Micro.store_dense)
   in
-  let render ?sample () =
-    let buf = Buffer.create 4096 in
-    let fmt = Format.formatter_of_buffer buf in
-    List.iter
-      (fun c ->
-        let a = Trips_sim.Attribution.create () in
-        let r = Pipeline.run_cycles ?sample ~attribution:a c in
-        Fmt.pf fmt
-          "%-14s cycles=%d blocks=%d fired=%d fetched=%d mispred=%d \
-           acc=%.6f miss=%.6f checksum=%d@."
-          c.Pipeline.workload.Workload.name r.Trips_sim.Cycle_sim.cycles
-          r.Trips_sim.Cycle_sim.blocks r.Trips_sim.Cycle_sim.instrs_fired
-          r.Trips_sim.Cycle_sim.instrs_fetched
-          r.Trips_sim.Cycle_sim.mispredictions
-          r.Trips_sim.Cycle_sim.predictor_accuracy
-          r.Trips_sim.Cycle_sim.cache_miss_rate r.Trips_sim.Cycle_sim.checksum;
-        List.iter
-          (fun (row : Trips_sim.Attribution.row) ->
-            Fmt.pf fmt "  b%d execs=%d fetched=%d fired=%d cycles=%d flushes=%d %a@."
-              row.Trips_sim.Attribution.r_block row.Trips_sim.Attribution.r_execs
-              row.Trips_sim.Attribution.r_fetched
-              row.Trips_sim.Attribution.r_fired
-              row.Trips_sim.Attribution.r_cycles
-              row.Trips_sim.Attribution.r_flushes
-              Fmt.(list ~sep:sp (fun ppf (cls, f, fi) -> pf ppf "%s:%d/%d" cls f fi))
-              row.Trips_sim.Attribution.r_classes)
-          (Trips_sim.Attribution.rows a))
-      compiled;
-    Format.pp_print_flush fmt ();
-    Buffer.contents buf
-  in
   let sim_pass ?sample () =
     List.iter (fun c -> ignore (Pipeline.run_cycles ?sample c)) compiled
   in
-  (* [on] lists the hatches whose fast path stays enabled; Welford over
-     [reps] timed passes after one warmup (SNIPPETS discipline) *)
+  (* Welford over [reps] timed passes after one warmup (SNIPPETS
+     discipline) *)
   let reps = 5 in
-  let measure ~name ~on ?sample () =
-    List.iter
-      (fun h -> Unix.putenv h (if List.mem h on then "" else "1"))
-      hatches;
+  let measure ~name ?sample () =
     sim_pass ?sample ();
     Trips_obs.Metrics.reset ();
     let n = ref 0 and mean = ref 0.0 and m2 = ref 0.0 in
@@ -763,30 +720,13 @@ let run_sim () =
         counter "sim.cycle.ring.capacity" / (reps * List.length compiled),
         counter "sim.cycle.sample.skips" )
     in
-    let output = render ?sample () in
-    List.iter (fun h -> Unix.putenv h "") hatches;
     let memo_hits, _, _, ring_cap, skips = counters in
     Fmt.pr "%-28s %6.3fs mean (stddev %.3f)  memo-hits %d  ring-cap %d  skips %d@."
       name !mean stddev memo_hits ring_cap skips;
-    (name, !mean, stddev, !mn, !mx, counters, output)
+    (name, !mean, stddev, !mn, !mx, counters)
   in
-  let legacy = measure ~name:"fast paths off (legacy)" ~on:[] () in
-  let ring = measure ~name:"ring core only" ~on:[ "TRIPS_NO_SIM_FAST" ] () in
-  let memo = measure ~name:"memo only" ~on:[ "TRIPS_NO_SIM_MEMO" ] () in
-  let fast = measure ~name:"ring + memo (default)" ~on:hatches () in
-  let sampled =
-    measure ~name:"sampled 1/8" ~on:hatches ~sample:8 ()
-  in
-  let output_of (_, _, _, _, _, _, o) = o in
-  (* speedups compare best-of-reps: the shared bench machine's load
-     spikes inflate means; minima are the uncontended cost *)
-  let min_of (_, _, _, mn, _, _, _) = mn in
-  let exact = [ legacy; ring; memo; fast ] in
-  let identical =
-    List.for_all (fun c -> output_of c = output_of legacy) exact
-  in
-  if not identical then
-    Fmt.epr "bench: WARNING: sim outputs differ across fast paths@.";
+  let fast = measure ~name:"ring + memo (default)" () in
+  let sampled = measure ~name:"sampled 1/8" ~sample:8 () in
   (* sampled mode: worst measured drift bound and worst cycle deviation
      from the exact run, across the kernel set *)
   let sample_bound = ref 0.0 and sample_cycle_err = ref 0.0 in
@@ -805,18 +745,13 @@ let run_sim () =
       in
       if dev > !sample_cycle_err then sample_cycle_err := dev)
     compiled;
-  let speedup = min_of legacy /. min_of fast in
-  Fmt.pr "identical outputs: %b@." identical;
-  Fmt.pr "sim-stage speedup: %.2fx (sampled: %.2fx, best-of-%d)@." speedup
-    (min_of legacy /. min_of sampled)
-    reps;
   Fmt.pr "sampled: worst error bound %.4f, worst cycle deviation %.4f \
           (tolerance %.2f)@."
     !sample_bound !sample_cycle_err sample_tolerance;
   if !sample_bound > sample_tolerance then
     Fmt.epr "bench: WARNING: sampled error bound exceeds tolerance@.";
   let json =
-    let config (name, mean, stddev, mn, mx, (mh, mm, rg, rc, sk), _) =
+    let config (name, mean, stddev, mn, mx, (mh, mm, rg, rc, sk)) =
       Fmt.str
         "    { \"name\": %S, \"mean_s\": %.4f, \"stddev_s\": %.4f, \
          \"min_s\": %.4f, \"max_s\": %.4f,@\n\
@@ -826,9 +761,6 @@ let run_sim () =
     in
     Fmt.str
       "{@\n\
-      \  \"identical_outputs\": %b,@\n\
-      \  \"sim_speedup\": %.3f,@\n\
-      \  \"sampled_speedup\": %.3f,@\n\
       \  \"sample_error_bound\": %.5f,@\n\
       \  \"sample_cycle_error\": %.5f,@\n\
       \  \"sample_tolerance\": %.2f,@\n\
@@ -836,11 +768,8 @@ let run_sim () =
        %s@\n\
       \  ]@\n\
        }@\n"
-      identical speedup
-      (min_of legacy /. min_of sampled)
       !sample_bound !sample_cycle_err sample_tolerance
-      (String.concat ",\n"
-         (List.map config [ legacy; ring; memo; fast; sampled ]))
+      (String.concat ",\n" (List.map config [ fast; sampled ]))
   in
   let path = bench_out "BENCH_sim.json" in
   let oc = open_out path in

@@ -133,7 +133,7 @@ let list_cmd =
     List.iter
       (fun w -> Fmt.pr "  %-16s %s@." w.Workload.name w.Workload.description)
       Micro.all;
-    Fmt.pr "@.store-dense stress kernels (bench formation, pre-filter):@.";
+    Fmt.pr "@.store-dense stress kernels (bench formation):@.";
     List.iter
       (fun w -> Fmt.pr "  %-16s %s@." w.Workload.name w.Workload.description)
       Micro.store_dense;

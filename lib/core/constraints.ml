@@ -82,93 +82,6 @@ let estimate (b : Block.t) ~live_out : estimate =
     writes;
   }
 
-(* ---- pre-filter lower bounds (paper Section 5 / DESIGN.md §12) -------- *)
-
-(* Formation trials are expensive (combine + install + liveness fixpoint
-   + optimizer + rollback), so the hot loop wants to reject hopeless
-   candidates from a cheap, per-block cacheable *lower bound* on the
-   merged estimate.  The bound must never exceed the true
-   post-optimization estimate — then a fast reject fires only where the
-   slow path would also have rejected and formation output is unchanged.
-
-   Derivation (DESIGN.md §12).  [Combine.combine] emits every
-   instruction of HB verbatim and every instruction of S with only its
-   *guard* replaced; operand registers are never renamed.  The floor
-   therefore keeps only what the optimizer (local VN, predicate-opt,
-   DCE) provably cannot remove:
-
-   - stores: DCE keeps side effects, predicate-opt never strips a
-     store's guard, and local VN deletes a store only when its guard is
-     proven constant-false — which requires a constant-false branch
-     guard the exit simplifier would already have pruned (audited by
-     [Formation.prefilter_audit] over the test workloads);
-   - at least one exit always survives (+1 branch instruction);
-   - register reads: a store *operand* register (value or address — not
-     the guard, which combine rewrites) with no definition in either
-     block stays a block input: VN canonicalizes operands toward the
-     oldest register holding a value, which for a block input is the
-     input register itself, and guarded-copy substitution only replaces
-     registers defined by in-block movs.
-
-   Everything else — arithmetic (cross-block CSE), compares (the merged
-   branch test), movs (copy propagation), loads (store-to-load
-   forwarding), logical ops (predicate simplification), fanout movs,
-   null writes, register writes — can in principle be optimized to
-   nothing, so it contributes zero.  The result is deliberately weak but
-   sound; it fires hardest exactly where trials are most wasted: unroll
-   and retry-pool attempts on store-carrying loops, where stores
-   accumulate additively and are never optimized away. *)
-
-type floor = {
-  fl_stores : int;
-  fl_store_inputs : IntSet.t;
-      (* store operand registers defined nowhere in the block *)
-  fl_defs : IntSet.t;  (* every register the block may define *)
-}
-
-(* Value and address operand registers of a store; guard registers are
-   excluded because combine replaces guards wholesale. *)
-let store_operand_regs (i : Instr.t) =
-  match i.Instr.op with
-  | Instr.Store (v, a, _) ->
-    List.filter_map Instr.reg_of_operand [ v; a ]
-  | _ -> []
-
-(** Per-block ingredients of {!merge_lower_bound}; cheap to compute and
-    cacheable per block record. *)
-let block_floor (b : Block.t) : floor =
-  let defs = Block.defs b in
-  let store_inputs =
-    List.fold_left
-      (fun acc (i : Instr.t) ->
-        List.fold_left
-          (fun acc r -> if IntSet.mem r defs then acc else IntSet.add r acc)
-          acc (store_operand_regs i))
-      IntSet.empty b.Block.instrs
-  in
-  {
-    fl_stores = List.length (List.filter Instr.is_store b.Block.instrs);
-    fl_store_inputs = store_inputs;
-    fl_defs = defs;
-  }
-
-(** Lower bound on {!estimate} of the optimized merge of [s] into [hb]:
-    additive store floors plus the one exit that always survives.  [s]'s
-    store inputs only stay inputs when [hb] (whose instructions precede
-    [s]'s in the merged block) cannot define them; [hb]'s own store
-    inputs are read before any [s] definition, so they stay exposed
-    unconditionally. *)
-let merge_lower_bound ~(hb : floor) ~(s : floor) : estimate =
-  {
-    instrs = hb.fl_stores + s.fl_stores + 1;
-    loads_stores = hb.fl_stores + s.fl_stores;
-    reads =
-      IntSet.cardinal
-        (IntSet.union hb.fl_store_inputs
-           (IntSet.diff s.fl_store_inputs hb.fl_defs));
-    writes = 0;
-  }
-
 (** Does the estimate fit the limits, with [slack] instruction slots held
     back for register-allocator spill code? *)
 let legal ?(slack = 0) limits e =

@@ -31,20 +31,6 @@ val fanout_movs : int -> int
 
 val estimate : Block.t -> live_out:IntSet.t -> estimate
 
-type floor
-(** Per-block ingredients of {!merge_lower_bound}: the instruction,
-    store and store-input counts that no optimizer pass removes.  Cheap
-    to compute and valid for as long as the same block record is
-    installed, so formation caches one per block id. *)
-
-val block_floor : Block.t -> floor
-
-val merge_lower_bound : hb:floor -> s:floor -> estimate
-(** Lower bound on the true {!estimate} of merging [s] into [hb] after
-    optimization — never larger than it (audited in tests), so a limit
-    check that already fails on the bound can skip the trial merge
-    without changing formation's decisions. *)
-
 val legal : ?slack:int -> limits -> estimate -> bool
 (** Does the estimate fit, with [slack] instruction slots held back for
     register-allocator spill code? *)

@@ -83,21 +83,19 @@ let kind_name = function
    [TRIPS_NO_*] escape hatch (set to any non-empty string to disable)
    for bisection and for the per-piece attribution in [bench formation];
    with every hatch set, formation runs the historical slow path.  All
-   four are output-invariant: traces, stats and the final CFG are
+   three are output-invariant: traces, stats and the final CFG are
    byte-identical either way (enforced by the equivalence property
    test). *)
 type fast_paths = {
-  prefilter : bool;  (* constraint lower-bound pre-filter *)
   incr_liveness : bool;  (* Liveness.update instead of full compute *)
   loop_reuse : bool;  (* loop forest / predecessor map keyed by edge version *)
   cand_pool : bool;  (* indexed candidate pool *)
 }
 
 (* How often each fast path actually fired; exported as the
-   [formation.prefilter.hits] / [formation.liveness.incremental] /
-   [formation.loops.reuse] metrics by [run]. *)
+   [formation.liveness.incremental] / [formation.loops.reuse] metrics by
+   [run]. *)
 type perf_counters = {
-  mutable prefilter_hits : int;
   mutable live_incremental : int;
   mutable loops_reuse : int;
 }
@@ -124,12 +122,7 @@ type state = {
   mutable live_dirty : IntSet.t;
       (* blocks edited (or removed) since [live_cache] was solved; the
          seeds for the next incremental [Liveness.update] *)
-  live_gk : Liveness.gk_cache option;  (* gen/kill memo across recomputations *)
-  floors : (int, Block.t * Constraints.floor) Hashtbl.t;
-      (* pre-filter floor per block id, revalidated by physical equality
-         with the installed block (so [Cfg.set_block] invalidates it) *)
-  body_floors : (int, Block.t * Constraints.floor) Hashtbl.t;
-      (* same, for the saved one-iteration unroll bodies *)
+  live_gk : Liveness.gk_cache;  (* gen/kill memo across recomputations *)
   fast : fast_paths;
   perf : perf_counters;
 }
@@ -156,22 +149,14 @@ let make config cfg profile =
     preds_cache = None;
     live_cache = None;
     live_dirty = IntSet.empty;
-    (* escape hatch for bisecting memo-related issues, and for benchmarks
-       that want to price the memo itself (see bench sweep) *)
-    live_gk =
-      (match Sys.getenv_opt "TRIPS_NO_LIVENESS_MEMO" with
-      | Some s when s <> "" -> None
-      | Some _ | None -> Some (Liveness.gk_cache ()));
-    floors = Hashtbl.create 64;
-    body_floors = Hashtbl.create 8;
+    live_gk = Liveness.gk_cache ();
     fast =
       {
-        prefilter = hatch_enabled "TRIPS_NO_PREFILTER";
         incr_liveness = hatch_enabled "TRIPS_NO_INCR_LIVENESS";
         loop_reuse = hatch_enabled "TRIPS_NO_LOOP_REUSE";
         cand_pool = hatch_enabled "TRIPS_NO_CAND_POOL";
       };
-    perf = { prefilter_hits = 0; live_incremental = 0; loops_reuse = 0 };
+    perf = { live_incremental = 0; loops_reuse = 0 };
   }
 
 (* Record a CFG edit that cannot have changed any successor list. *)
@@ -226,13 +211,13 @@ let liveness st =
   | Some (_, l) when st.fast.incr_liveness ->
     (* re-solve only from the blocks edited since the last solution *)
     let touched = IntSet.elements st.live_dirty in
-    let l = Liveness.update ?cache:st.live_gk l st.cfg ~touched in
+    let l = Liveness.update ~cache:st.live_gk l st.cfg ~touched in
     st.perf.live_incremental <- st.perf.live_incremental + 1;
     st.live_dirty <- IntSet.empty;
     st.live_cache <- Some (st.version, l);
     l
   | _ ->
-    let l = Liveness.compute ?cache:st.live_gk st.cfg in
+    let l = Liveness.compute ~cache:st.live_gk st.cfg in
     st.live_dirty <- IntSet.empty;
     st.live_cache <- Some (st.version, l);
     l
@@ -348,14 +333,6 @@ let body_for_unroll st hb_id =
     Hashtbl.replace st.saved_bodies hb_id current;
     current
 
-(* What [body_for_unroll] would return, without its re-save side effect:
-   the pre-filter must inspect the body before the trial's rollback
-   snapshot exists, so it must not mutate [saved_bodies]. *)
-let peek_body_for_unroll st hb_id =
-  match Hashtbl.find_opt st.saved_bodies hb_id with
-  | Some b when saved_body_valid st hb_id b -> b
-  | Some _ | None -> Cfg.block st.cfg hb_id
-
 type merge_outcome =
   | Success of Constraints.estimate
   | Structural_failure of string
@@ -368,43 +345,6 @@ type merge_outcome =
 let chaos_combine_failure :
     (hb_id:int -> s_id:int -> kind:merge_kind -> bool) option ref =
   ref None
-
-(* Test-only soundness audit: when set, the pre-filter never shortcuts;
-   instead every attempt runs the full trial and the hook receives the
-   pre-filter lower bound alongside the true post-optimization estimate,
-   so tests can assert [bound <= estimate] fieldwise for every attempted
-   merge. *)
-let prefilter_audit :
-    (bound:Constraints.estimate -> est:Constraints.estimate -> unit) option ref
-    =
-  ref None
-
-(* Pre-filter floor for [b], cached in [tbl] under [id] and revalidated
-   by physical equality (blocks are immutable records, so the same
-   record means the same floor). *)
-let floor_in tbl id (b : Block.t) =
-  match Hashtbl.find_opt tbl id with
-  | Some (b0, f) when b0 == b -> f
-  | _ ->
-    let f = Constraints.block_floor b in
-    Hashtbl.replace tbl id (b, f);
-    f
-
-(* Additive lower bound on the merged estimate of [s_id] into [hb]
-   (DESIGN.md §12); [None] when neither the fast path nor the audit hook
-   wants it. *)
-let merge_bound st ~hb ~hb_id ~s_id ~kind =
-  if not (st.fast.prefilter || !prefilter_audit <> None) then None
-  else begin
-    let fh = floor_in st.floors hb_id hb in
-    let fs =
-      match kind with
-      | Unroll -> floor_in st.body_floors hb_id (peek_body_for_unroll st hb_id)
-      | Simple | Tail_dup | Peel ->
-        floor_in st.floors s_id (Cfg.block st.cfg s_id)
-    in
-    Some (Constraints.merge_lower_bound ~hb:fh ~s:fs)
-  end
 
 let zero_estimate =
   { Constraints.instrs = 0; loads_stores = 0; reads = 0; writes = 0 }
@@ -444,25 +384,6 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
   st.stats.attempts <- st.stats.attempts + 1;
   let hb = match hb with Some b -> b | None -> Cfg.block cfg hb_id in
   let emit = emit_attempt st ~hb_id ~s_id ~depth ~prob ~classify:(kind_name kind) in
-  let bound = merge_bound st ~hb ~hb_id ~s_id ~kind in
-  match bound with
-  | Some b
-    when !prefilter_audit = None
-         && not
-              (Constraints.legal ~slack:config.Policy.slack config.Policy.limits
-                 b) ->
-    (* Constraint pre-filter: the lower bound already exceeds the limits,
-       and it never exceeds the true post-optimization estimate, so the
-       full trial (combine, install, liveness, optimize, rollback) could
-       only have ended in the same [Size_rejected].  Skip it without
-       touching the CFG.  The trace event is byte-identical to a trial
-       size reject — reject events always carry zero estimates — so the
-       fast path cannot be distinguished from the outside. *)
-    st.stats.size_rejections <- st.stats.size_rejections + 1;
-    st.perf.prefilter_hits <- st.perf.prefilter_hits + 1;
-    emit ~outcome:"size" ~est:zero_estimate ~msg:"";
-    Size_rejected b
-  | _ ->
   (* Snapshot everything a failed attempt must not leak: the saved unroll
      body (body_for_unroll may re-save it below), the fresh-id counters
      (the trial allocates instruction/register/block ids that die with
@@ -584,9 +505,6 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
     in
     let live_out = trial_live_out () in
     let est = Constraints.estimate final ~live_out in
-    (match (!prefilter_audit, bound) with
-    | Some f, Some b -> f ~bound:b ~est
-    | _ -> ());
     if Constraints.legal ~slack:config.Policy.slack config.Policy.limits est
     then begin
       st.stats.merges <- st.stats.merges + 1;
@@ -820,7 +738,6 @@ let run config cfg profile : stats =
   Cfg.validate cfg;
   publish_metrics st.stats;
   let open Trips_obs in
-  Metrics.incr ~by:st.perf.prefilter_hits "formation.prefilter.hits";
   Metrics.incr ~by:st.perf.live_incremental "formation.liveness.incremental";
   Metrics.incr ~by:st.perf.loops_reuse "formation.loops.reuse";
   st.stats

@@ -13,6 +13,8 @@
     - loop header over a non-back edge: peeling by head duplication;
     - otherwise: classical tail duplication.
 
+    Every candidate is trial-merged, including ones that end in a size
+    reject: the trial's optimizer trace events are part of the output.
     Candidates that failed only because the block was full are retried
     after later merges and optimizations shrink it — the convergence the
     paper's title refers to. *)
@@ -48,26 +50,24 @@ val kind_name : merge_kind -> string
 (** Lower-case stable name used in trace events. *)
 
 type fast_paths = {
-  prefilter : bool;  (** constraint lower-bound pre-filter *)
   incr_liveness : bool;  (** [Liveness.update] instead of full compute *)
   loop_reuse : bool;
       (** loop forest / predecessor map keyed by edge version *)
   cand_pool : bool;  (** indexed candidate pool *)
 }
 (** Which formation fast paths are enabled; each is read at {!make} from
-    its own [TRIPS_NO_PREFILTER] / [TRIPS_NO_INCR_LIVENESS] /
-    [TRIPS_NO_LOOP_REUSE] / [TRIPS_NO_CAND_POOL] escape hatch (any
-    non-empty value disables).  All four are output-invariant: traces,
-    stats and the final CFG are byte-identical either way. *)
+    its own [TRIPS_NO_INCR_LIVENESS] / [TRIPS_NO_LOOP_REUSE] /
+    [TRIPS_NO_CAND_POOL] escape hatch (any non-empty value disables).
+    All three are output-invariant: traces, stats and the final CFG are
+    byte-identical either way. *)
 
 type perf_counters = {
-  mutable prefilter_hits : int;
   mutable live_incremental : int;
   mutable loops_reuse : int;
 }
 (** How often each fast path fired; exported by {!run} as the
-    [formation.prefilter.hits], [formation.liveness.incremental] and
-    [formation.loops.reuse] metrics. *)
+    [formation.liveness.incremental] and [formation.loops.reuse]
+    metrics. *)
 
 type state = {
   cfg : Cfg.t;
@@ -86,11 +86,8 @@ type state = {
   mutable live_cache : (int * Trips_analysis.Liveness.t) option;
   mutable live_dirty : IntSet.t;
       (** blocks edited since [live_cache] was solved *)
-  live_gk : Trips_analysis.Liveness.gk_cache option;
-      (** gen/kill memo reused across liveness recomputations; [None] when
-          disabled via the [TRIPS_NO_LIVENESS_MEMO] environment variable *)
-  floors : (int, Block.t * Constraints.floor) Hashtbl.t;
-  body_floors : (int, Block.t * Constraints.floor) Hashtbl.t;
+  live_gk : Trips_analysis.Liveness.gk_cache;
+      (** gen/kill memo reused across liveness recomputations *)
   fast : fast_paths;
   perf : perf_counters;
 }
@@ -117,14 +114,6 @@ val chaos_combine_failure :
     exercising the structural-failure rollback paths.  Reset to [None]
     after use. *)
 
-val prefilter_audit :
-  (bound:Constraints.estimate -> est:Constraints.estimate -> unit) option ref
-(** Test-only soundness audit: when set, the constraint pre-filter never
-    shortcuts; every attempt runs the full trial and the hook receives
-    the pre-filter lower bound alongside the true post-optimization
-    estimate, so tests can assert [bound <= est] fieldwise for every
-    attempted merge.  Reset to [None] after use. *)
-
 val merge_blocks :
   ?depth:int ->
   ?prob:float ->
@@ -134,9 +123,8 @@ val merge_blocks :
   s_id:int ->
   kind:merge_kind ->
   merge_outcome
-(** [MergeBlocks]: pre-filter against the additive size lower bound,
-    then trial-merge, optionally optimize, constraint-check; commits on
-    success and rolls back on failure — including the saved
+(** [MergeBlocks]: trial-merge, optionally optimize, constraint-check;
+    commits on success and rolls back on failure — including the saved
     one-iteration body and the CFG's fresh-id counters, so a failed
     attempt leaves no hidden state behind.  [depth]/[prob] only annotate
     the trace event; [hb] may pass the already-fetched hyperblock

@@ -164,7 +164,7 @@ let gen_nested_loops rng seed =
 
 (* A chain of 2..4 blocks each carrying exactly the 32-store budget,
    looped a few times: formation must refuse every merge on the LSID
-   axis while the pre-filter and trial-install paths agree. *)
+   axis, and every refusal goes through a rolled-back trial install. *)
 let gen_store_dense rng seed =
   let cfg = Cfg.create ~name:(Fmt.str "fz-store-%d" seed) () in
   let k = 2 + Random.State.int rng 3 in

@@ -30,7 +30,6 @@ let config_for ~seed =
    order). *)
 let fast_path_hatches =
   [
-    "TRIPS_NO_PREFILTER";
     "TRIPS_NO_INCR_LIVENESS";
     "TRIPS_NO_LOOP_REUSE";
     "TRIPS_NO_CAND_POOL";

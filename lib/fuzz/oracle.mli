@@ -20,9 +20,8 @@ type verdict =
   | Fail of { stage : string; bucket : string; reason : string }
 
 val fast_path_hatches : string list
-(** The [TRIPS_NO_*] escape hatches of formation's four output-invariant
-    fast paths (pre-filter, incremental liveness, loop reuse, indexed
-    pool). *)
+(** The [TRIPS_NO_*] escape hatches of formation's three output-invariant
+    fast paths (incremental liveness, loop reuse, indexed pool). *)
 
 val with_hatches : string -> (unit -> 'a) -> 'a
 (** [with_hatches v f] sets every {!fast_path_hatches} variable to [v]

@@ -71,26 +71,13 @@ let reset () =
       Hashtbl.reset gauge_tbl;
       Hashtbl.reset histo_tbl)
 
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* Exact nearest-rank quantile over the ascending-sorted samples. *)
-let quantile_of_sorted sorted n q =
-  if n = 0 then 0.0
-  else begin
-    let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-    let rank = if rank < 1 then 1 else if rank > n then n else rank in
-    List.nth sorted (rank - 1)
-  end
-
 let snapshot () =
   Mutex.protect mutex (fun () ->
       let histograms =
-        sorted_bindings histo_tbl
+        Telemetry.sorted_bindings histo_tbl
         |> List.map (fun (name, a) ->
                let sorted = List.sort compare a.a_samples in
-               let q p = quantile_of_sorted sorted a.a_count p in
+               let q p = Telemetry.quantile_of_sorted sorted a.a_count p in
                ( name,
                  {
                    h_count = a.a_count;
@@ -103,8 +90,8 @@ let snapshot () =
                  } ))
       in
       {
-        counters = sorted_bindings counter_tbl;
-        gauges = sorted_bindings gauge_tbl;
+        counters = Telemetry.sorted_bindings counter_tbl;
+        gauges = Telemetry.sorted_bindings gauge_tbl;
         histograms;
       })
 

@@ -55,6 +55,7 @@ let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* Exact nearest-rank quantile over the ascending-sorted samples. *)
 let quantile_of_sorted sorted n q =
   if n = 0 then 0.0
   else begin

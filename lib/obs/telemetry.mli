@@ -32,6 +32,14 @@ val enabled : unit -> bool
     returns [None], {!start} declines, and the global-window helpers
     become no-ops — the escape hatch for byte-identity comparisons. *)
 
+val sorted_bindings : (string, 'a) Hashtbl.t -> (string * 'a) list
+(** A table's bindings sorted by key; shared with {!Metrics}. *)
+
+val quantile_of_sorted : float list -> int -> float -> float
+(** [quantile_of_sorted sorted n q]: exact nearest-rank [q]-quantile of
+    the [n] ascending-sorted samples ([0.0] when empty); shared with
+    {!Metrics}. *)
+
 (** {1 Trace context} *)
 
 type ctx = {

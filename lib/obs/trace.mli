@@ -76,6 +76,12 @@ val with_cell : int -> (unit -> 'a) -> 'a
 val compare_event : event -> event -> int
 (** Orders by [(cell, seq)] — the deterministic trace order. *)
 
+val escape : Buffer.t -> string -> unit
+(** Append [s] to the buffer as the body of a JSON string literal
+    (quotes, backslashes and control characters escaped; the quotes
+    themselves are not added).  The one JSON string escaper of the
+    project, shared by {!Report} and the fuzz campaign report. *)
+
 val to_json : event -> string
 (** One JSON object, no trailing newline.  Field order: [cell], [seq],
     [kind], then [fields] in emission order. *)

@@ -28,8 +28,9 @@
    which keeps loop-carried dependence chains serial no matter how many
    blocks are in flight.
 
-   Two fast paths (DESIGN.md §16) make this the cheap stage of a sweep
-   without changing a single output byte:
+   Two techniques (DESIGN.md §16) make this the cheap stage of a sweep;
+   a per-instruction reference model in the test suite checks that they
+   change no output byte:
 
    - an *event-driven issue core*: block events land in flat machine
      buffers straight from the functional hooks (no per-instruction
@@ -56,14 +57,10 @@
      makes the replay bit-exact (every absolute quantity enters the
      computation only as a difference from the dispatch point).
 
-   [TRIPS_NO_SIM_FAST] (any non-empty value) routes issue allocation
-   back through the legacy per-cycle hashtable; [TRIPS_NO_SIM_MEMO]
-   disables the memo; with both engaged the original per-instruction
-   code path runs verbatim.  A sampled mode ([sample] >= 2, default
-   off) additionally extrapolates converged block instances from their
-   memo entries without re-timing issue contention, reporting a
-   measured drift bound — the only mode allowed to deviate from the
-   exact path. *)
+   A sampled mode ([sample] >= 2, default off) additionally
+   extrapolates converged block instances from their memo entries
+   without re-timing issue contention, reporting a measured drift bound
+   — the only mode allowed to deviate from the exact path. *)
 
 open Trips_ir
 
@@ -117,17 +114,7 @@ type result = {
   checksum : int;
 }
 
-(* ---- fast-path configuration ------------------------------------------- *)
-
-(* [TRIPS_NO_X] convention: any non-empty value disables the feature. *)
-let hatch_enabled name =
-  match Sys.getenv_opt name with None | Some "" -> false | Some _ -> true
-
-type fast_config = {
-  fc_fast : bool;  (* ring issue core + batched operand wakeup *)
-  fc_memo : bool;  (* repeated-block timing memo *)
-  fc_sample : int;  (* >= 2: re-time every Nth converged instance *)
-}
+(* ---- memo and sampling parameters ------------------------------------- *)
 
 (* a signature must repeat this many times before sampling may skip it *)
 let sample_converge = 4
@@ -136,16 +123,6 @@ let sample_converge = 4
    worth replaying, and a runaway key population stops growing *)
 let memo_max_span = 4096
 let memo_max_entries = 16384
-
-let config_of_env ~sample =
-  let sample = if sample >= 2 then sample else 0 in
-  {
-    fc_fast = not (hatch_enabled "TRIPS_NO_SIM_FAST");
-    (* sampled mode extrapolates from memo entries, so it implies the
-       memo machinery even when the hatch is engaged *)
-    fc_memo = (not (hatch_enabled "TRIPS_NO_SIM_MEMO")) || sample > 0;
-    fc_sample = sample;
-  }
 
 (* ---- memo tables -------------------------------------------------------- *)
 
@@ -202,13 +179,12 @@ let dummy_instr = Instr.make 0 (Instr.Mov (0, Instr.Imm 0))
 (* Mutable per-run machine state. *)
 type machine = {
   t : timing;
-  fc : fast_config;
+  sample : int;  (* >= 2: re-time every Nth converged instance; else 0 *)
   trace : int ref;  (* block instances still to trace *)
   trace_ppf : Format.formatter;
   predictor : Predictor.t;
   cache : Cache.t;
   reg_ready : (int, int) Hashtbl.t;  (* register -> producer completion *)
-  issue_load : (int, int) Hashtbl.t;  (* legacy allocator: cycle -> issued *)
   (* ring allocator: slot [c land ring_mask] holds cycle [ring_tags],
      occupancy [ring_used]; tags below the current dispatch point are
      dead and reclaimed lazily *)
@@ -217,7 +193,7 @@ type machine = {
   mutable ring_mask : int;
   mutable ring_grows : int;
   sigs : (int, sig_cell list) Hashtbl.t;  (* block id -> signatures *)
-  (* fast-path event buffers, filled by the functional hooks in program
+  (* event buffers, filled by the functional hooks in program
      order with no per-instruction allocation: instruction, fired flag,
      touched address (-1 for none), plus the fired bitmask, load-miss
      bits and fired count folded into the same pass *)
@@ -252,7 +228,6 @@ type machine = {
   mutable instrs_fetched : int;
   (* current block instance being accumulated *)
   mutable cur_block : int;
-  mutable cur_events : (Instr.t * bool * int option) list;  (* reversed *)
   mutable cur_exit : Block.exit_ option;
   mutable started : bool;
 }
@@ -263,13 +238,12 @@ let ev_initial_capacity = 256
 let make_machine ?(trace = 0) ?(trace_ppf = Fmt.stderr) ?(sample = 0) t =
   {
     t;
-    fc = config_of_env ~sample;
+    sample = (if sample >= 2 then sample else 0);
     trace = ref trace;
     trace_ppf;
     predictor = Predictor.create ();
     cache = Cache.create ~size_words:t.cache_size_words ~line_words:t.cache_line_words ();
     reg_ready = Hashtbl.create 256;
-    issue_load = Hashtbl.create 4096;
     ring_tags = Array.make ring_initial_capacity min_int;
     ring_used = Array.make ring_initial_capacity 0;
     ring_mask = ring_initial_capacity - 1;
@@ -301,27 +275,13 @@ let make_machine ?(trace = 0) ?(trace_ppf = Fmt.stderr) ?(sample = 0) t =
     instrs_fired = 0;
     instrs_fetched = 0;
     cur_block = -1;
-    cur_events = [];
     cur_exit = None;
     started = false;
   }
 
-(* ---- issue allocators --------------------------------------------------- *)
+(* ---- issue allocator --------------------------------------------------- *)
 
-(* Legacy greedy issue-slot search from [ready] (TRIPS_NO_SIM_FAST):
-   one hashtable entry per simulated cycle, never pruned. *)
-let issue_at m ~ready =
-  let rec find c =
-    let used = Option.value ~default:0 (Hashtbl.find_opt m.issue_load c) in
-    if used < m.t.issue_width then begin
-      Hashtbl.replace m.issue_load c (used + 1);
-      c
-    end
-    else find (c + 1)
-  in
-  find ready
-
-(* Ring variants.  [horizon] is the retiring block's dispatch-end: every
+(* Issue-slot ring.  [horizon] is the retiring block's dispatch-end: every
    future probe starts at or after it, so smaller tags are dead.  On a
    live collision the ring is rebuilt at the smallest power of two
    exceeding the live span, which makes residues collision-free (any
@@ -385,20 +345,6 @@ let rec ring_add m ~horizon c n =
     ring_add m ~horizon c n
   end
 
-(* Occupancy access independent of the allocator in use, so the memo
-   works over both (the legacy hashtable never prunes, but occupancy is
-   only ever read at or above the horizon, where both agree). *)
-let occ_load m c =
-  if m.fc.fc_fast then ring_load m c
-  else Option.value ~default:0 (Hashtbl.find_opt m.issue_load c)
-
-let occ_add m ~horizon c n =
-  if m.fc.fc_fast then ring_add m ~horizon c n
-  else Hashtbl.replace m.issue_load c (occ_load m c + n)
-
-let issue_slot m ~horizon ~ready =
-  if m.fc.fc_fast then ring_issue m ~horizon ready else issue_at m ~ready
-
 (* ---- placement model ---------------------------------------------------- *)
 
 (* Instructions are placed round-robin across the ALU grid in fetch
@@ -416,78 +362,7 @@ let hop_between t a b =
     let manhattan = abs (ax - bx) + abs (ay - by) in
     t.operand_hop * max 1 manhattan
 
-(* ---- legacy timing body (both hatches engaged) -------------------------- *)
-
-(* The original per-instruction path, kept verbatim: per-operand double
-   hashtable lookups, cache probes inline, hashtable issue allocation.
-   Returns block-done and branch times plus a closure applying the
-   register exports (which, in this formulation, needs the commit). *)
-let retire_legacy m ~dispatch_end ~events =
-  let t = m.t in
-  let local_done : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  (* register -> (completion, producer slot index) *)
-  let input_ready ~consumer_idx r =
-    match Hashtbl.find_opt local_done r with
-    | Some (c, producer_idx) -> c + hop_between t producer_idx consumer_idx
-    | None ->
-      let produced = Option.value ~default:0 (Hashtbl.find_opt m.reg_ready r) in
-      max (dispatch_end + t.reg_read_latency) (produced + t.operand_hop)
-  in
-  let block_done = ref dispatch_end in
-  List.iteri
-    (fun idx ((i : Instr.t), fired, addr) ->
-      if fired then begin
-        m.instrs_fired <- m.instrs_fired + 1;
-        let ready =
-          List.fold_left
-            (fun acc r -> max acc (input_ready ~consumer_idx:idx r))
-            dispatch_end (Instr.uses i)
-        in
-        let issue = issue_at m ~ready in
-        let latency =
-          Latency.of_op i.Instr.op
-          +
-          match (i.Instr.op, addr) with
-          | Instr.Load _, Some a ->
-            if Cache.access m.cache ~addr:a then 0 else t.miss_penalty
-          | Instr.Store _, Some a ->
-            ignore (Cache.access m.cache ~addr:a);
-            0
-          | _ -> 0
-        in
-        let done_ = issue + latency in
-        List.iter
-          (fun d -> Hashtbl.replace local_done d (done_, idx))
-          (Instr.defs i);
-        if done_ > !block_done then block_done := done_
-      end)
-    events;
-  (* branch resolution: the firing exit's guard producer (branches sit
-     at the end of the mapped block) *)
-  let n_instrs = List.length events in
-  let branch_time =
-    match m.cur_exit with
-    | Some { Block.eguard = Some g; _ } ->
-      input_ready ~consumer_idx:n_instrs g.Instr.greg
-    | Some { Block.eguard = None; _ } | None -> dispatch_end
-  in
-  let export ~commit =
-    (* export register writes for later blocks *)
-    List.iter
-      (fun ((i : Instr.t), fired, _) ->
-        if fired then
-          List.iter
-            (fun d ->
-              Hashtbl.replace m.reg_ready d
-                (match Hashtbl.find_opt local_done d with
-                | Some (c, _) -> c
-                | None -> commit))
-            (Instr.defs i))
-      events
-  in
-  (!block_done, branch_time, export)
-
-(* ---- fast timing body --------------------------------------------------- *)
+(* ---- timing body -------------------------------------------------------- *)
 
 (* Hot-path hashtable read without the [find_opt] option allocation. *)
 let ht_find0 tbl k =
@@ -585,7 +460,7 @@ let push_issue m c =
    recorded entry.  [deltas] are the external readiness offsets already
    gathered for the memo key, so the availability table is seeded from
    them — one lookup per external register per block, not per use. *)
-let fast_compute m ~dispatch_end ~(si : sig_info) ~deltas =
+let measure m ~dispatch_end ~(si : sig_info) ~deltas =
   let t = m.t in
   let horizon = dispatch_end in
   let n_instrs = m.ev_n in
@@ -621,7 +496,7 @@ let fast_compute m ~dispatch_end ~(si : sig_info) ~deltas =
         let r = input_ready ~consumer_idx:idx us.(k) in
         if r > !ready then ready := r
       done;
-      let issue = issue_slot m ~horizon ~ready:!ready in
+      let issue = ring_issue m ~horizon !ready in
       push_issue m issue;
       if issue > !max_issue then max_issue := issue;
       let latency =
@@ -668,7 +543,7 @@ let fast_compute m ~dispatch_end ~(si : sig_info) ~deltas =
     done;
   let pre =
     if full then
-      Array.init span (fun k -> occ_load m (dispatch_end + k) - iss.(k))
+      Array.init span (fun k -> ring_load m (dispatch_end + k) - iss.(k))
     else [||]
   in
   let entry =
@@ -688,7 +563,7 @@ let fast_compute m ~dispatch_end ~(si : sig_info) ~deltas =
    mode — key-aware extrapolation.  Returns block-done and branch
    times; exports are applied inside (they never need the commit — a
    fired def's completion is always recorded). *)
-let retire_fast m ~dispatch_end =
+let time_block m ~dispatch_end =
   let t = m.t in
   let horizon = dispatch_end in
   let words = max 1 ((m.ev_n + 61) / 62) in
@@ -758,11 +633,9 @@ let retire_fast m ~dispatch_end =
         go 0)
   in
   let bucket =
-    if m.fc.fc_memo then
-      match Hashtbl.find si.si_entries h with
-      | l -> l
-      | exception Not_found -> []
-    else []
+    match Hashtbl.find si.si_entries h with
+    | l -> l
+    | exception Not_found -> []
   in
   let cached =
     let rec scan = function
@@ -776,10 +649,10 @@ let retire_fast m ~dispatch_end =
      *own* instance key without verifying or updating issue occupancy —
      latencies and dependences stay exact, only cross-block issue
      contention is extrapolated.  A key never seen is always measured. *)
-  let sampling = m.fc.fc_sample > 1 in
+  let sampling = m.sample > 1 in
   let skip =
     sampling && cached <> None && si.si_seen > sample_converge
-    && si.si_tick mod m.fc.fc_sample <> 0
+    && si.si_tick mod m.sample <> 0
   in
   si.si_tick <- si.si_tick + 1;
   match cached with
@@ -809,7 +682,7 @@ let retire_fast m ~dispatch_end =
         let ok = ref true in
         (try
            for k = 0 to e.e_span - 1 do
-             if occ_load m (dispatch_end + k) <> e.e_pre.(k) then begin
+             if ring_load m (dispatch_end + k) <> e.e_pre.(k) then begin
                ok := false;
                raise Exit
              end
@@ -823,13 +696,13 @@ let retire_fast m ~dispatch_end =
       | Some e ->
         m.memo_hits <- m.memo_hits + 1;
         for k = 0 to e.e_span - 1 do
-          if e.e_iss.(k) > 0 then occ_add m ~horizon (dispatch_end + k) e.e_iss.(k)
+          if e.e_iss.(k) > 0 then ring_add m ~horizon (dispatch_end + k) e.e_iss.(k)
         done;
         apply_exports m ~dispatch_end e.e_exports;
         e
       | None ->
         m.memo_misses <- m.memo_misses + 1;
-        let entry, full = fast_compute m ~dispatch_end ~si ~deltas:db in
+        let entry, full = measure m ~dispatch_end ~si ~deltas:db in
         if full && m.memo_entries < memo_max_entries then begin
           let ik =
             {
@@ -862,11 +735,11 @@ let retire_fast m ~dispatch_end =
 
 (* ---- event intake ------------------------------------------------------- *)
 
-(* Fast-path instruction hook: append to the flat buffers, fold the
-   fired bitmask in, and resolve cache accesses right here — the hooks
-   fire in program order, exactly the order the legacy timing loop
-   probes the cache in, and cache state never feeds back into
-   functional execution, so probing early is byte-identical. *)
+(* Instruction hook: append to the flat buffers, fold the fired bitmask
+   in, and resolve cache accesses right here — the hooks fire in program
+   order, exactly the order in which timing would probe the cache, and
+   cache state never feeds back into functional execution, so probing
+   early is byte-identical. *)
 let ev_push m i ~fired ~addr =
   let idx = m.ev_n in
   if idx = Array.length m.ev_ins then begin
@@ -924,9 +797,7 @@ let retire ?attribution m ~next =
        functional driver (whose own poll covers the fetch side) *)
     Trips_obs.Watchdog.check ();
     let t = m.t in
-    let fast_body = m.fc.fc_fast || m.fc.fc_memo || m.fc.fc_sample > 1 in
-    let events = if fast_body then [] else List.rev m.cur_events in
-    let n_instrs = if fast_body then m.ev_n else List.length events in
+    let n_instrs = m.ev_n in
     m.instrs_fetched <- m.instrs_fetched + n_instrs;
     (* window: the (window-1)-blocks-ago commit gates dispatch *)
     let slot = m.block_index mod t.window_blocks in
@@ -938,17 +809,10 @@ let retire ?attribution m ~next =
       dispatch_start + t.block_overhead
       + ((n_instrs + t.fetch_bandwidth - 1) / t.fetch_bandwidth)
     in
-    let block_done, branch_time, export =
-      if fast_body then begin
-        let done_, branch = retire_fast m ~dispatch_end in
-        (done_, branch, fun ~commit:_ -> ())
-      end
-      else retire_legacy m ~dispatch_end ~events
-    in
+    let block_done, branch_time = time_block m ~dispatch_end in
     let commit =
       max (max block_done branch_time) m.last_commit + t.commit_overhead
     in
-    export ~commit;
     if !(m.trace) > 0 then begin
       decr m.trace;
       Fmt.pf m.trace_ppf
@@ -959,16 +823,10 @@ let retire ?attribution m ~next =
     (match attribution with
     | Some a ->
       Attribution.count_execution a ~block:m.cur_block;
-      if fast_body then
-        for idx = 0 to m.ev_n - 1 do
-          Attribution.count_instr a ~block:m.cur_block m.ev_ins.(idx)
-            ~fired:m.ev_fired.(idx)
-        done
-      else
-        List.iter
-          (fun ((i : Instr.t), fired, _) ->
-            Attribution.count_instr a ~block:m.cur_block i ~fired)
-          events;
+      for idx = 0 to m.ev_n - 1 do
+        Attribution.count_instr a ~block:m.cur_block m.ev_ins.(idx)
+          ~fired:m.ev_fired.(idx)
+      done;
       Attribution.add_cycles a ~block:m.cur_block (commit - m.last_commit)
     | None -> ());
     m.commit_ring.(slot) <- commit;
@@ -999,11 +857,6 @@ let retire ?attribution m ~next =
 let run ?(timing = default_timing) ?(trace = 0) ?trace_ppf ?(sample = 0)
     ?attribution ?fuel ?strict_exits ?registers ~memory cfg : result =
   let m = make_machine ~trace ?trace_ppf ~sample timing in
-  let fast_body = m.fc.fc_fast || m.fc.fc_memo || m.fc.fc_sample > 1 in
-  let on_instr =
-    if fast_body then fun i ~fired ~addr -> ev_push m i ~fired ~addr
-    else fun i ~fired ~addr -> m.cur_events <- (i, fired, addr) :: m.cur_events
-  in
   let hooks =
     {
       Func_sim.on_block =
@@ -1011,10 +864,9 @@ let run ?(timing = default_timing) ?(trace = 0) ?trace_ppf ?(sample = 0)
           retire ?attribution m ~next:(Some id);
           m.started <- true;
           m.cur_block <- id;
-          m.cur_events <- [];
           ev_reset m;
           m.cur_exit <- None);
-      on_instr;
+      on_instr = (fun i ~fired ~addr -> ev_push m i ~fired ~addr);
       on_exit = (fun e -> m.cur_exit <- Some e);
     }
   in
@@ -1028,8 +880,7 @@ let run ?(timing = default_timing) ?(trace = 0) ?trace_ppf ?(sample = 0)
   Trips_obs.Metrics.incr ~by:m.memo_hits "sim.cycle.memo.hits";
   Trips_obs.Metrics.incr ~by:m.memo_misses "sim.cycle.memo.misses";
   Trips_obs.Metrics.incr ~by:m.ring_grows "sim.cycle.ring.grows";
-  if m.fc.fc_fast then
-    Trips_obs.Metrics.incr ~by:(m.ring_mask + 1) "sim.cycle.ring.capacity";
+  Trips_obs.Metrics.incr ~by:(m.ring_mask + 1) "sim.cycle.ring.capacity";
   Trips_obs.Metrics.incr ~by:m.sampled_skips "sim.cycle.sample.skips";
   let lookups, hits = Predictor.counters m.predictor in
   Trips_obs.Metrics.incr ~by:lookups "sim.predictor.lookups";
@@ -1046,7 +897,7 @@ let run ?(timing = default_timing) ?(trace = 0) ?trace_ppf ?(sample = 0)
     predictor_accuracy = Predictor.accuracy m.predictor;
     cache_miss_rate = Cache.miss_rate m.cache;
     sample_error_bound =
-      (if m.fc.fc_sample > 1 then
+      (if m.sample > 1 then
          Some (float_of_int m.sample_err /. float_of_int (max 1 m.last_commit))
        else None);
     ret = fr.Func_sim.ret;

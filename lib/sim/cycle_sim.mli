@@ -16,12 +16,11 @@
     times, keeping loop-carried chains serial no matter how many blocks
     are in flight.
 
-    The default path runs an event-driven fast core (bounded ring issue
+    There is one exact path: an event-driven core (bounded ring issue
     allocator, batched operand wakeup, memoized repeated-block timing;
-    DESIGN.md §16) whose outputs are byte-identical to the legacy
-    per-instruction path; [TRIPS_NO_SIM_FAST] and [TRIPS_NO_SIM_MEMO]
-    (any non-empty value) disable the pieces.  Sampled mode ([sample])
-    is the only approximation and is off by default. *)
+    DESIGN.md §16), checked byte-for-byte against a per-instruction
+    reference model kept in the test suite.  Sampled mode ([sample]) is
+    the only approximation and is off by default. *)
 
 open Trips_ir
 

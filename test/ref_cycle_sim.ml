@@ -1,0 +1,247 @@
+(* Reference timing model for the cycle simulator's equivalence test.
+
+   This is the original per-instruction formulation of the TRIPS timing
+   model, written for clarity rather than speed: every block instance's
+   events are collected as a list, operand readiness is looked up per use
+   in two hash tables, cache probes happen inline while timing, and issue
+   slots come from a greedy search over a per-cycle hash table that is
+   never pruned.  [Cycle_sim] computes the same quantities with a ring
+   issue core, batched operand wakeup and a block-timing memo; the sim
+   suite checks that both produce byte-identical results, attribution
+   rows and [trace] lines.
+
+   It shares only the functional simulator's hooks, the predictor, the
+   cache, the latency table and the attribution collector with
+   [Cycle_sim], plus the [timing]/[result] record types that define the
+   interface being compared.  Nothing here runs outside the tests. *)
+
+open Trips_ir
+open Trips_sim
+
+type machine = {
+  t : Cycle_sim.timing;
+  trace : int ref;  (* block instances still to trace *)
+  trace_ppf : Format.formatter;
+  predictor : Predictor.t;
+  cache : Cache.t;
+  reg_ready : (int, int) Hashtbl.t;  (* register -> producer completion *)
+  issue_load : (int, int) Hashtbl.t;  (* cycle -> instructions issued *)
+  commit_ring : int array;  (* commit times of the last [window] blocks *)
+  mutable prev_dispatch_end : int;
+  mutable last_commit : int;
+  mutable block_index : int;
+  mutable redirect_at : int;  (* earliest next fetch after a misprediction *)
+  mutable mispredictions : int;
+  mutable instrs_fired : int;
+  mutable instrs_fetched : int;
+  mutable cur_block : int;
+  mutable cur_events : (Instr.t * bool * int option) list;  (* reversed *)
+  mutable cur_exit : Block.exit_ option;
+  mutable started : bool;
+}
+
+let make_machine ~trace ~trace_ppf (t : Cycle_sim.timing) =
+  {
+    t;
+    trace = ref trace;
+    trace_ppf;
+    predictor = Predictor.create ();
+    cache =
+      Cache.create ~size_words:t.Cycle_sim.cache_size_words
+        ~line_words:t.Cycle_sim.cache_line_words ();
+    reg_ready = Hashtbl.create 256;
+    issue_load = Hashtbl.create 4096;
+    commit_ring = Array.make t.Cycle_sim.window_blocks 0;
+    prev_dispatch_end = 0;
+    last_commit = 0;
+    block_index = 0;
+    redirect_at = 0;
+    mispredictions = 0;
+    instrs_fired = 0;
+    instrs_fetched = 0;
+    cur_block = -1;
+    cur_events = [];
+    cur_exit = None;
+    started = false;
+  }
+
+(* Greedy issue-slot search from [ready]: the first cycle with a free
+   issue slot. *)
+let issue_at m ~ready =
+  let rec find c =
+    let used = Option.value ~default:0 (Hashtbl.find_opt m.issue_load c) in
+    if used < m.t.Cycle_sim.issue_width then begin
+      Hashtbl.replace m.issue_load c (used + 1);
+      c
+    end
+    else find (c + 1)
+  in
+  find ready
+
+(* Round-robin placement over a [spatial_grid] x [spatial_grid] ALU
+   array, operand latency = hop x Manhattan distance; grid 0 charges a
+   flat hop per edge. *)
+let hop_between (t : Cycle_sim.timing) a b =
+  let grid = max 0 t.Cycle_sim.spatial_grid in
+  if grid = 0 then t.Cycle_sim.operand_hop
+  else
+    let cell_a = a mod (grid * grid) and cell_b = b mod (grid * grid) in
+    let ax, ay = (cell_a mod grid, cell_a / grid) in
+    let bx, by = (cell_b mod grid, cell_b / grid) in
+    t.Cycle_sim.operand_hop * max 1 (abs (ax - bx) + abs (ay - by))
+
+(* Time one block instance from its event list.  Returns block-done and
+   branch times plus a closure exporting register writes, which needs
+   the commit time for defs that never completed in this block. *)
+let time_block m ~dispatch_end ~events =
+  let t = m.t in
+  let local_done : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
+  (* register -> (completion, producer slot index) *)
+  let input_ready ~consumer_idx r =
+    match Hashtbl.find_opt local_done r with
+    | Some (c, producer_idx) -> c + hop_between t producer_idx consumer_idx
+    | None ->
+      let produced = Option.value ~default:0 (Hashtbl.find_opt m.reg_ready r) in
+      max
+        (dispatch_end + t.Cycle_sim.reg_read_latency)
+        (produced + t.Cycle_sim.operand_hop)
+  in
+  let block_done = ref dispatch_end in
+  List.iteri
+    (fun idx ((i : Instr.t), fired, addr) ->
+      if fired then begin
+        m.instrs_fired <- m.instrs_fired + 1;
+        let ready =
+          List.fold_left
+            (fun acc r -> max acc (input_ready ~consumer_idx:idx r))
+            dispatch_end (Instr.uses i)
+        in
+        let issue = issue_at m ~ready in
+        let latency =
+          Latency.of_op i.Instr.op
+          +
+          match (i.Instr.op, addr) with
+          | Instr.Load _, Some a ->
+            if Cache.access m.cache ~addr:a then 0 else t.Cycle_sim.miss_penalty
+          | Instr.Store _, Some a ->
+            ignore (Cache.access m.cache ~addr:a);
+            0
+          | _ -> 0
+        in
+        let done_ = issue + latency in
+        List.iter
+          (fun d -> Hashtbl.replace local_done d (done_, idx))
+          (Instr.defs i);
+        if done_ > !block_done then block_done := done_
+      end)
+    events;
+  (* branch resolution waits for the firing exit's guard; branches sit
+     at the end of the mapped block *)
+  let branch_time =
+    match m.cur_exit with
+    | Some { Block.eguard = Some g; _ } ->
+      input_ready ~consumer_idx:(List.length events) g.Instr.greg
+    | Some { Block.eguard = None; _ } | None -> dispatch_end
+  in
+  let export ~commit =
+    List.iter
+      (fun ((i : Instr.t), fired, _) ->
+        if fired then
+          List.iter
+            (fun d ->
+              Hashtbl.replace m.reg_ready d
+                (match Hashtbl.find_opt local_done d with
+                | Some (c, _) -> c
+                | None -> commit))
+            (Instr.defs i))
+      events
+  in
+  (!block_done, branch_time, export)
+
+let retire ?attribution m ~next =
+  if m.started then begin
+    let t = m.t in
+    let events = List.rev m.cur_events in
+    let n_instrs = List.length events in
+    m.instrs_fetched <- m.instrs_fetched + n_instrs;
+    (* the commit of the block [window] instances back gates dispatch *)
+    let slot = m.block_index mod t.Cycle_sim.window_blocks in
+    let dispatch_start =
+      max (max m.prev_dispatch_end m.redirect_at) m.commit_ring.(slot)
+    in
+    let dispatch_end =
+      dispatch_start + t.Cycle_sim.block_overhead
+      + ((n_instrs + t.Cycle_sim.fetch_bandwidth - 1)
+        / t.Cycle_sim.fetch_bandwidth)
+    in
+    let block_done, branch_time, export = time_block m ~dispatch_end ~events in
+    let commit =
+      max (max block_done branch_time) m.last_commit + t.Cycle_sim.commit_overhead
+    in
+    export ~commit;
+    if !(m.trace) > 0 then begin
+      decr m.trace;
+      Fmt.pf m.trace_ppf
+        "[trace] b%d n=%d dispatch=%d..%d done=%d branch=%d commit=%d@."
+        m.cur_block n_instrs dispatch_start dispatch_end block_done
+        branch_time commit
+    end;
+    (match attribution with
+    | Some a ->
+      Attribution.count_execution a ~block:m.cur_block;
+      List.iter
+        (fun ((i : Instr.t), fired, _) ->
+          Attribution.count_instr a ~block:m.cur_block i ~fired)
+        events;
+      Attribution.add_cycles a ~block:m.cur_block (commit - m.last_commit)
+    | None -> ());
+    m.commit_ring.(slot) <- commit;
+    m.last_commit <- commit;
+    m.prev_dispatch_end <- dispatch_end;
+    m.block_index <- m.block_index + 1;
+    match next with
+    | Some actual ->
+      if not (Predictor.update m.predictor ~block:m.cur_block ~actual) then begin
+        m.mispredictions <- m.mispredictions + 1;
+        m.redirect_at <- branch_time + t.Cycle_sim.flush_penalty;
+        match attribution with
+        | Some a -> Attribution.add_flush a ~block:m.cur_block
+        | None -> ()
+      end
+    | None -> ()
+  end
+
+(** Same signature and results as exact-mode [Cycle_sim.run]; publishes
+    no metrics. *)
+let run ?(timing = Cycle_sim.default_timing) ?(trace = 0)
+    ?(trace_ppf = Fmt.stderr) ?attribution ?fuel ?strict_exits ?registers
+    ~memory cfg : Cycle_sim.result =
+  let m = make_machine ~trace ~trace_ppf timing in
+  let hooks =
+    {
+      Func_sim.on_block =
+        (fun id ->
+          retire ?attribution m ~next:(Some id);
+          m.started <- true;
+          m.cur_block <- id;
+          m.cur_events <- [];
+          m.cur_exit <- None);
+      on_instr =
+        (fun i ~fired ~addr -> m.cur_events <- (i, fired, addr) :: m.cur_events);
+      on_exit = (fun e -> m.cur_exit <- Some e);
+    }
+  in
+  let fr = Func_sim.run ?fuel ?strict_exits ~hooks ?registers ~memory cfg in
+  retire ?attribution m ~next:None;
+  {
+    Cycle_sim.cycles = m.last_commit;
+    blocks = fr.Func_sim.blocks_executed;
+    instrs_fired = m.instrs_fired;
+    instrs_fetched = m.instrs_fetched;
+    mispredictions = m.mispredictions;
+    predictor_accuracy = Predictor.accuracy m.predictor;
+    cache_miss_rate = Cache.miss_rate m.cache;
+    sample_error_bound = None;
+    ret = fr.Func_sim.ret;
+    checksum = fr.Func_sim.checksum;
+  }

@@ -276,35 +276,19 @@ let test_spatial_model () =
 
 (* ---- cycle-model fast paths (DESIGN.md §16) ----------------------------- *)
 
-let sim_hatches = [ "TRIPS_NO_SIM_FAST"; "TRIPS_NO_SIM_MEMO" ]
-
-(* [on] lists the hatches whose fast path stays enabled (empty value =
-   enabled); everything else is engaged for the call *)
-let with_hatches on f =
-  List.iter
-    (fun h -> Unix.putenv h (if List.mem h on then "" else "1"))
-    sim_hatches;
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun h -> Unix.putenv h "") sim_hatches)
-    f
-
 let compile_micro name =
   let w = Option.get (Trips_workloads.Micro.by_name name) in
   Trips_harness.Pipeline.compile ~backend:true Chf.Phases.Iupo_merged w
 
 (* Render everything observable about a cycle run — result fields,
    per-block attribution, and the first blocks of the timing trace — so
-   equivalence checks compare byte-for-byte. *)
-let render_cycle_run ?sample (c : Trips_harness.Pipeline.compiled) =
+   equivalence checks compare byte-for-byte.  [run] performs the run,
+   printing its trace to and attributing into the given sinks. *)
+let render_cycle_run run =
   let buf = Buffer.create 4096 in
   let fmt = Format.formatter_of_buffer buf in
   let a = Attribution.create () in
-  let memory = Trips_workloads.Workload.memory c.Trips_harness.Pipeline.workload in
-  let r =
-    Cycle_sim.run ~trace:8 ~trace_ppf:fmt ?sample ~attribution:a
-      ~registers:c.Trips_harness.Pipeline.registers ~memory
-      c.Trips_harness.Pipeline.cfg
-  in
+  let r = run ~trace_ppf:fmt ~attribution:a in
   Fmt.pf fmt
     "cycles=%d blocks=%d fired=%d fetched=%d mispred=%d acc=%.6f miss=%.6f \
      ret=%a checksum=%d@."
@@ -326,24 +310,39 @@ let render_cycle_run ?sample (c : Trips_harness.Pipeline.compiled) =
   Buffer.contents buf
 
 let test_fast_path_equivalence () =
-  (* the ring issue core and the timing memo, alone and together, must
-     be byte-identical to the legacy path: cycles, attribution rows and
-     the timing trace all included *)
+  (* the default path (ring issue core + timing memo) must be
+     byte-identical to the per-instruction reference model in test/:
+     cycles, attribution rows and the timing trace all included.  The
+     inputs cover loops (sieve, gzip_1), a misprediction-heavy kernel
+     (art_1), a store-dense one at the load/store budget (fill12), and
+     the spatial-grid operand network next to the flat hop. *)
+  let grid4 = { Cycle_sim.default_timing with Cycle_sim.spatial_grid = 4 } in
   List.iter
-    (fun name ->
+    (fun (name, label, timing) ->
       let c = compile_micro name in
-      let golden = with_hatches [] (fun () -> render_cycle_run c) in
-      List.iter
-        (fun (mode, on) ->
-          let got = with_hatches on (fun () -> render_cycle_run c) in
-          check Alcotest.string (name ^ ": " ^ mode ^ " byte-identical") golden
-            got)
-        [
-          ("ring core only", [ "TRIPS_NO_SIM_FAST" ]);
-          ("memo only", [ "TRIPS_NO_SIM_MEMO" ]);
-          ("ring + memo", sim_hatches);
-        ])
-    [ "sieve"; "gzip_1" ]
+      let registers = c.Trips_harness.Pipeline.registers
+      and cfg = c.Trips_harness.Pipeline.cfg in
+      let memory () =
+        Trips_workloads.Workload.memory c.Trips_harness.Pipeline.workload
+      in
+      let exact ~trace_ppf ~attribution =
+        Cycle_sim.run ~timing ~trace:8 ~trace_ppf ~attribution ~registers
+          ~memory:(memory ()) cfg
+      in
+      let reference ~trace_ppf ~attribution =
+        Ref_cycle_sim.run ~timing ~trace:8 ~trace_ppf ~attribution ~registers
+          ~memory:(memory ()) cfg
+      in
+      check Alcotest.string
+        (Fmt.str "%s (%s): default path = reference" name label)
+        (render_cycle_run reference) (render_cycle_run exact))
+    [
+      ("sieve", "flat hop", Cycle_sim.default_timing);
+      ("gzip_1", "flat hop", Cycle_sim.default_timing);
+      ("art_1", "flat hop", Cycle_sim.default_timing);
+      ("fill12", "flat hop", Cycle_sim.default_timing);
+      ("gzip_1", "grid 4", grid4);
+    ]
 
 let test_ring_bounded () =
   (* the ring allocator's memory is bounded by the in-flight window, not
@@ -400,38 +399,36 @@ let test_attribution_partition_modes () =
      fetches, block cycles sum to the run total) hold under every fast
      path, including sampled mode — skipped instances still count *)
   let c = compile_micro "sieve" in
-  let check_mode name ?sample on =
-    with_hatches on (fun () ->
-        let a = Attribution.create () in
-        let r = Trips_harness.Pipeline.run_cycles ?sample ~attribution:a c in
-        let rows = Attribution.rows a in
-        check Alcotest.bool (name ^ ": rows present") true (rows <> []);
-        List.iter
-          (fun (row : Attribution.row) ->
-            let sum f =
-              List.fold_left (fun acc cl -> acc + f cl) 0
-                row.Attribution.r_classes
-            in
-            check Alcotest.int
-              (Fmt.str "%s: b%d class fetches partition block fetches" name
-                 row.Attribution.r_block)
-              row.Attribution.r_fetched
-              (sum (fun (_, f, _) -> f));
-            check Alcotest.int
-              (Fmt.str "%s: b%d class fired partition block fired" name
-                 row.Attribution.r_block)
-              row.Attribution.r_fired
-              (sum (fun (_, _, fi) -> fi)))
-          rows;
-        check Alcotest.int (name ^ ": block cycles partition the run total")
-          r.Cycle_sim.cycles
-          (List.fold_left
-             (fun acc (row : Attribution.row) -> acc + row.Attribution.r_cycles)
-             0 rows))
+  let check_mode name ?sample () =
+    let a = Attribution.create () in
+    let r = Trips_harness.Pipeline.run_cycles ?sample ~attribution:a c in
+    let rows = Attribution.rows a in
+    check Alcotest.bool (name ^ ": rows present") true (rows <> []);
+    List.iter
+      (fun (row : Attribution.row) ->
+        let sum f =
+          List.fold_left (fun acc cl -> acc + f cl) 0
+            row.Attribution.r_classes
+        in
+        check Alcotest.int
+          (Fmt.str "%s: b%d class fetches partition block fetches" name
+             row.Attribution.r_block)
+          row.Attribution.r_fetched
+          (sum (fun (_, f, _) -> f));
+        check Alcotest.int
+          (Fmt.str "%s: b%d class fired partition block fired" name
+             row.Attribution.r_block)
+          row.Attribution.r_fired
+          (sum (fun (_, _, fi) -> fi)))
+      rows;
+    check Alcotest.int (name ^ ": block cycles partition the run total")
+      r.Cycle_sim.cycles
+      (List.fold_left
+         (fun acc (row : Attribution.row) -> acc + row.Attribution.r_cycles)
+         0 rows)
   in
-  check_mode "fast" sim_hatches;
-  check_mode "memo only" [ "TRIPS_NO_SIM_MEMO" ];
-  check_mode "sampled" ~sample:8 sim_hatches
+  check_mode "fast" ();
+  check_mode "sampled" ~sample:8 ()
 
 let suite =
   ( "sim",
